@@ -66,15 +66,11 @@ fn time_min<T>(mut body: impl FnMut() -> T) -> Duration {
 }
 
 fn dispatch_comparison() {
-    // The worker binary is resolved next to the bench executable; skip
-    // (rather than fail) when it has not been built — CI builds it first.
-    let fleet = match FleetBackend::local(WORKERS) {
-        Ok(backend) => backend,
-        Err(err) => {
-            println!("skipping fleet_dispatch comparison: {err}");
-            return;
-        }
-    };
+    // The worker binary is resolved next to the bench executable; a
+    // missing one fails the bench rather than skipping the comparison
+    // (CI builds it first).
+    let fleet = FleetBackend::local(WORKERS)
+        .unwrap_or_else(|err| panic!("fleet_dispatch comparison cannot start its fleet: {err}"));
     let per_job_spawn = ProcessBackend::new(WORKERS);
     let matrix = grid();
 

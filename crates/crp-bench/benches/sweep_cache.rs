@@ -73,8 +73,7 @@ impl Service {
         let _ = std::fs::remove_dir_all(&cache_dir);
         let cache = ResultCache::open(&cache_dir).map_err(|e| e.to_string())?;
         // The worker binary resolution may fail in stripped
-        // environments; surface it as a skippable error like the fleet
-        // bench does.
+        // environments; the caller fails the bench with this error.
         let endpoints: Vec<WorkerEndpoint> = crp_sim::FleetBackend::local(WORKERS)
             .map_err(|e| e.to_string())?
             .endpoints()
@@ -111,13 +110,8 @@ fn timed_submit(addr: &str, matrix: &SweepMatrix) -> (Duration, SweepResults, us
 }
 
 fn cache_comparison() {
-    let service = match Service::start() {
-        Ok(service) => service,
-        Err(err) => {
-            println!("skipping sweep_cache comparison: {err}");
-            return;
-        }
-    };
+    let service = Service::start()
+        .unwrap_or_else(|err| panic!("sweep_cache comparison cannot start its daemon: {err}"));
     let matrix = grid();
     let reference = matrix.run_on(&SerialBackend).expect("serial reference");
 

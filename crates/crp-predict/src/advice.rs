@@ -68,9 +68,7 @@ impl Advice {
     /// Interprets the advice as an unsigned integer (most significant bit
     /// first).  The empty advice decodes to 0.
     pub fn to_value(&self) -> usize {
-        self.bits
-            .iter()
-            .fold(0usize, |acc, &bit| (acc << 1) | usize::from(bit))
+        bits_value(&self.bits)
     }
 
     /// Renders the advice as a `0`/`1` string.
@@ -80,6 +78,12 @@ impl Advice {
             .map(|&b| if b { '1' } else { '0' })
             .collect()
     }
+}
+
+/// Reads `bits` as an unsigned integer, most significant bit first.
+fn bits_value(bits: &[bool]) -> usize {
+    bits.iter()
+        .fold(0usize, |acc, &bit| (acc << 1) | usize::from(bit))
 }
 
 impl std::fmt::Display for Advice {
@@ -141,12 +145,9 @@ impl IdPrefixOracle {
         let id_bits = Self::id_bits(universe_size);
         let used = advice.len().min(id_bits);
         let remaining = id_bits - used;
-        let prefix_value = if used == 0 {
-            0
-        } else {
-            // Only the first `used` bits of the advice are meaningful here.
-            Advice::from_bits(advice.bits()[..used].to_vec()).to_value()
-        };
+        // Only the first `used` bits of the advice are meaningful here.
+        // Runs once per node built, so it folds the slice in place.
+        let prefix_value = bits_value(&advice.bits()[..used]);
         let low = prefix_value << remaining;
         let high = (low + (1usize << remaining)).min(universe_size);
         (low.min(universe_size), high)
@@ -210,11 +211,7 @@ impl RangeOracle {
         let num_ranges = Self::num_ranges(universe_size);
         let used = advice.len().min(range_bits);
         let remaining = range_bits - used;
-        let prefix_value = if used == 0 {
-            0
-        } else {
-            Advice::from_bits(advice.bits()[..used].to_vec()).to_value()
-        };
+        let prefix_value = bits_value(&advice.bits()[..used]);
         let low0 = prefix_value << remaining;
         let high0 = (low0 + (1usize << remaining)).min(num_ranges);
         ((low0 + 1).min(num_ranges), high0.max(1))
@@ -288,6 +285,50 @@ mod tests {
                 "b={b}: {target} not in [{lo},{hi})"
             );
             assert_eq!(hi - lo, n >> b, "b={b}: wrong candidate count");
+        }
+    }
+
+    #[test]
+    fn candidate_interval_matches_the_allocating_prefix_formula() {
+        // The formula `candidate_interval` used before it folded the bit
+        // slice in place.
+        fn reference(universe_size: usize, advice: &Advice) -> (usize, usize) {
+            let id_bits = IdPrefixOracle::id_bits(universe_size);
+            let used = advice.len().min(id_bits);
+            let remaining = id_bits - used;
+            let prefix_value = if used == 0 {
+                0
+            } else {
+                Advice::from_bits(advice.bits()[..used].to_vec()).to_value()
+            };
+            let low = prefix_value << remaining;
+            let high = (low + (1usize << remaining)).min(universe_size);
+            (low.min(universe_size), high)
+        }
+        for n in [1, 2, 3, 64, 100, 256, 1000, 1024, 1 << 16] {
+            let id_bits = IdPrefixOracle::id_bits(n);
+            for len in 0..=id_bits + 2 {
+                // Every advice string of this length when it is short,
+                // otherwise the extremes and two mixed patterns.
+                let values: Vec<usize> = if len <= 6 {
+                    (0..1 << len).collect()
+                } else {
+                    vec![
+                        0,
+                        (1 << len) - 1,
+                        0b1010 << (len - 4),
+                        0b0110 << (len - 4) | 1,
+                    ]
+                };
+                for value in values {
+                    let advice = Advice::from_value(value, len);
+                    assert_eq!(
+                        IdPrefixOracle::candidate_interval(n, &advice),
+                        reference(n, &advice),
+                        "n={n} advice={advice}"
+                    );
+                }
+            }
         }
     }
 

@@ -112,10 +112,16 @@ pub fn tenant_summary(snapshot: &MetricsSnapshot) -> String {
 }
 
 /// Formats the canonical cache summary — the one wording both the
-/// `submit` CLI stderr line and the daemon `stats` report print.
+/// `submit` CLI stderr line and the daemon `stats` report print.  With
+/// no jobs submitted there is no hit rate to report, so it says so
+/// instead of printing one.
 pub fn cache_summary(hits: u64, total: u64, computed: u64) -> String {
-    let percent = (hits * 100).checked_div(total).unwrap_or(100);
-    format!("{hits}/{total} job cache hits ({percent}%), {computed} computed on the fleet")
+    match (hits * 100).checked_div(total) {
+        Some(percent) => {
+            format!("{hits}/{total} job cache hits ({percent}%), {computed} computed on the fleet")
+        }
+        None => "no submissions yet".to_string(),
+    }
 }
 
 /// Derives the cache summary from the `serve.submit.*` counters of a
@@ -184,6 +190,19 @@ pub(crate) fn probe_heal(kind: &'static str, key: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_summary_reports_no_rate_before_the_first_job() {
+        assert_eq!(cache_summary(0, 0, 0), "no submissions yet");
+        assert_eq!(
+            cache_summary_from(&crp_obs::MetricsRegistry::new().snapshot()),
+            "no submissions yet"
+        );
+        assert_eq!(
+            cache_summary(1, 4, 3),
+            "1/4 job cache hits (25%), 3 computed on the fleet"
+        );
+    }
 
     #[test]
     fn tenant_ids_are_sanitised_to_counter_safe_tokens() {

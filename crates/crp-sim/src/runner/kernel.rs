@@ -15,11 +15,18 @@
 //!   ([`DrawBuffer`]).  No-CD policies are additionally queried once per
 //!   *shard* per round (their history is always empty), and constant-rate
 //!   policies ([`crp_protocols::UniformPolicy::constant_probability`])
-//!   skip per-round dispatch entirely.
+//!   skip per-round dispatch entirely.  The memo is probed on every
+//!   trial-round, so it hashes with [`MemoHasher`] instead of SipHash.
+//!   That hasher must end in a full avalanche step: the probabilities of
+//!   halving schedules are `2^-j`, whose low mantissa bits are all zero,
+//!   and without a final mix their keys would differ only in bits the
+//!   table never uses to pick a bucket.
 //! * **Deterministic per-node protocols** (the §3 advice schedules, gated
 //!   by [`crp_protocols::NodeFactory::deterministic`]) never read the RNG,
-//!   so the kernel executes once per distinct participant set and
-//!   replicates the outcome across trials.
+//!   so an execution is a pure function of the participant set.  The
+//!   kernel executes once per distinct participant set *per cell* — the
+//!   outcomes live on the [`CellKernel`], shared by every shard and worker
+//!   thread — and replicates them across trials.
 //!
 //! Everything else falls back to the scalar executor — every registry
 //! protocol still runs under every [`KernelChoice`].
@@ -33,7 +40,9 @@
 //! enforced by the `kernel_equivalence` and `backend_equivalence` tests.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::str::FromStr;
+use std::sync::Mutex;
 
 use crp_channel::{
     classify_uniform_draw, uniform_outcome_thresholds, CollisionHistory, ParticipantId,
@@ -159,7 +168,12 @@ enum KernelKind<'a> {
     },
     /// A deterministic per-node protocol: executed once per distinct
     /// participant set, outcome replicated.
-    Deterministic { protocol: &'a dyn Protocol },
+    Deterministic {
+        protocol: &'a dyn Protocol,
+        /// `(resolved, rounds)` per participant count, shared by every
+        /// shard of the cell.  Only successful executions are stored.
+        outcomes: Mutex<HashMap<usize, (bool, usize)>>,
+    },
 }
 
 /// A batched trial kernel for one cell, built once per cell and shared by
@@ -189,9 +203,10 @@ impl<'a> CellKernel<'a> {
                 collision_detection: protocol.kind().channel_mode().has_collision_detection(),
                 constant: policy.constant_probability(),
             },
-            Behavior::PerNode(factory) if factory.deterministic() => {
-                KernelKind::Deterministic { protocol }
-            }
+            Behavior::PerNode(factory) if factory.deterministic() => KernelKind::Deterministic {
+                protocol,
+                outcomes: Mutex::new(HashMap::new()),
+            },
             Behavior::PerNode(_) => return None,
         };
         Some(Self {
@@ -247,8 +262,8 @@ impl<'a> CellKernel<'a> {
                     self.run_uniform_no_cd(*policy, *constant, &mut state)?;
                 }
             }
-            KernelKind::Deterministic { protocol } => {
-                self.run_deterministic(*protocol, &mut state)?;
+            KernelKind::Deterministic { protocol, outcomes } => {
+                self.run_deterministic(*protocol, outcomes, &mut state)?;
             }
         }
         let mut accumulator = TrialAccumulator::new();
@@ -369,20 +384,29 @@ impl<'a> CellKernel<'a> {
 
     /// The deterministic per-node fast path: nodes never read the RNG, so
     /// the execution is a pure function of the participant set — run it
-    /// once per distinct `k` (or once per shard for fixed populations)
-    /// and replicate.  Trials are visited in index order so a failing
-    /// participant set surfaces the same trial's error as the scalar
-    /// path.
+    /// once per distinct `k` per cell (once per cell for fixed and placed
+    /// populations) and replicate.  Trials are visited in index order and
+    /// failures are never memoized, so a failing participant set is
+    /// re-executed by every shard that draws it and surfaces the same
+    /// trial's error as the scalar path.  The lock is only held for the
+    /// lookup and the insert, never while a protocol executes; two shards
+    /// racing on the same `k` both execute it and store equal outcomes.
     fn run_deterministic(
         &self,
         protocol: &dyn Protocol,
+        outcomes: &Mutex<HashMap<usize, (bool, usize)>>,
         state: &mut ShardState,
     ) -> Result<(), SimError> {
-        let mut memo: HashMap<usize, (bool, usize)> = HashMap::new();
+        let memo = || {
+            outcomes
+                .lock()
+                .expect("no panics while the cell memo is locked")
+        };
         for t in 0..state.rounds.len() {
             let k = state.k[t];
-            let (resolved, rounds) = match memo.get(&k) {
-                Some(&outcome) => outcome,
+            let cached = memo().get(&k).copied();
+            let (resolved, rounds) = match cached {
+                Some(outcome) => outcome,
                 None => {
                     let execution = match &self.population {
                         KernelPopulation::Placed(ids) => try_run_protocol_with(
@@ -403,7 +427,7 @@ impl<'a> CellKernel<'a> {
                     }
                     .map_err(SimError::from)?;
                     let outcome = (execution.resolved, execution.rounds);
-                    memo.insert(k, outcome);
+                    memo().insert(k, outcome);
                     outcome
                 }
             };
@@ -481,13 +505,13 @@ impl ShardState {
 /// keyed by their IEEE-754 bits, so distinct-but-equal floats share an
 /// entry and the two `powf`s are paid once per pair per shard.
 struct ThresholdMemo {
-    memo: HashMap<(u64, usize), (f64, f64)>,
+    memo: HashMap<(u64, usize), (f64, f64), BuildHasherDefault<MemoHasher>>,
 }
 
 impl ThresholdMemo {
     fn new() -> Self {
         Self {
-            memo: HashMap::new(),
+            memo: HashMap::default(),
         }
     }
 
@@ -496,6 +520,42 @@ impl ThresholdMemo {
             .memo
             .entry((p.to_bits(), k))
             .or_insert_with(|| uniform_outcome_thresholds(k, p))
+    }
+}
+
+/// The threshold memo's hasher: each key word is folded in with one
+/// multiply, and [`Hasher::finish`] applies the SplitMix64 finalizer.
+///
+/// The final avalanche is what makes the cheap fold safe.  Keys such as
+/// `(2^-j).to_bits()` differ only in their exponent bits, and the table
+/// picks buckets from the low bits of the hash and control tags from the
+/// high ones; the finalizer spreads every input bit over both.  The memo
+/// is private to a shard and its keys are not attacker-chosen, so
+/// SipHash's flood resistance buys nothing here.
+#[derive(Default)]
+struct MemoHasher(u64);
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Not reached by the `(u64, usize)` keys, which hash word-wise.
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 }
 
@@ -614,12 +674,38 @@ mod tests {
     #[test]
     fn threshold_memo_matches_the_direct_computation() {
         let mut memo = ThresholdMemo::new();
-        for k in [1usize, 2, 70, 1 << 20] {
-            for p in [0.5, 0.125, 1.0 / 3.0] {
+        // The halving probabilities `2^-j` share all-zero mantissas: the
+        // keys a weak hasher would cluster.
+        let halvings = (1..=30).map(|j| 0.5f64.powi(j));
+        let probabilities: Vec<f64> = [0.5, 0.125, 1.0 / 3.0]
+            .into_iter()
+            .chain(halvings)
+            .collect();
+        for k in [1usize, 2, 3, 70, 1023, 1 << 20] {
+            for &p in &probabilities {
                 assert_eq!(memo.get(k, p), uniform_outcome_thresholds(k, p));
                 // Second lookup hits the memo and must agree.
                 assert_eq!(memo.get(k, p), uniform_outcome_thresholds(k, p));
             }
         }
+    }
+
+    #[test]
+    fn memo_hasher_spreads_halving_probabilities_over_the_low_bits() {
+        // Without the final mix, a multiply keeps the 52 zero low bits of
+        // `(2^-j).to_bits()`, and every key lands in the same bucket.
+        let low_bits: std::collections::HashSet<u64> = (1..=30)
+            .map(|j| {
+                let mut hasher = MemoHasher::default();
+                hasher.write_u64(0.5f64.powi(j).to_bits());
+                hasher.write_usize(2);
+                hasher.finish() & 0x1f
+            })
+            .collect();
+        assert!(
+            low_bits.len() >= 16,
+            "{} of 32 buckets used",
+            low_bits.len()
+        );
     }
 }

@@ -13,7 +13,9 @@
 
 use crp_predict::ScenarioLibrary;
 use crp_protocols::{ProtocolRegistry, ProtocolSpec};
-use crp_sim::{KernelChoice, Simulation, SimulationBuilder};
+use crp_sim::{
+    KernelChoice, SerialBackend, ShardBackend, Simulation, SimulationBuilder, ThreadBackend,
+};
 
 /// A registry spec with every optional parameter supplied, so each
 /// constructor finds what it needs (predictions for the §4 protocols,
@@ -106,6 +108,153 @@ fn placed_populations_are_bit_identical_under_the_deterministic_kernel() {
                 .trials(40)
                 .seed(7)
         });
+    }
+}
+
+/// The backends a cell-wide kernel memo is shared across: one thread,
+/// and worker threads racing on the same cell.
+fn memo_sharing_backends() -> Vec<(&'static str, Box<dyn ShardBackend>)> {
+    vec![
+        ("serial", Box::new(SerialBackend)),
+        ("thread-2", Box::new(ThreadBackend::new(2))),
+        ("thread-8", Box::new(ThreadBackend::new(8))),
+    ]
+}
+
+#[test]
+fn the_cell_wide_deterministic_memo_is_bit_identical_on_every_backend() {
+    // k is uniform over 2..=1024, so the shards of one cell draw
+    // overlapping sets of participant counts: most executions are
+    // served from outcomes another shard memoized.
+    let library = ScenarioLibrary::new(1024).unwrap();
+    let truth = library.uniform_sizes().distribution().clone();
+    for name in ["det-advice-cd", "det-advice-no-cd"] {
+        let build = |kernel| {
+            Simulation::builder()
+                .protocol(ProtocolSpec::new(name).universe(1024).advice_bits(2))
+                .truth(truth.clone())
+                .max_rounds(64 * 1024)
+                .trials(1_800) // 8 shards of 256
+                .seed(0xCE11)
+                .kernel(kernel)
+                .build()
+                .unwrap()
+        };
+        let reference = build(KernelChoice::Scalar).run_on(&SerialBackend).unwrap();
+        for (backend_name, backend) in memo_sharing_backends() {
+            let batched = build(KernelChoice::Batched);
+            assert_eq!(batched.kernel_name(), Some("deterministic"));
+            assert_eq!(
+                batched.run_on(backend.as_ref()).unwrap(),
+                reference,
+                "{name} on {backend_name} diverged from the scalar executor"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_rejected_participant_count_fails_every_path_alike() {
+    use crp_channel::{Feedback, NodeProtocol, ParticipantId};
+    use crp_protocols::{NodeFactory, Protocol, ProtocolError, ProtocolKind};
+    use rand::RngCore;
+
+    /// A deterministic protocol that resolves after `k` rounds (node `i`
+    /// transmits alone in round `k + i`) and rejects one participant
+    /// count outright.
+    struct RejectsOneCount(usize);
+    struct WaitNode {
+        transmit_round: usize,
+    }
+    impl NodeProtocol for WaitNode {
+        fn decide(&mut self, round: usize, _rng: &mut dyn RngCore) -> bool {
+            round == self.transmit_round
+        }
+        fn observe(&mut self, _round: usize, _feedback: Feedback) {}
+    }
+    impl NodeFactory for RejectsOneCount {
+        fn build_nodes(
+            &self,
+            participants: &[ParticipantId],
+        ) -> Result<Vec<Box<dyn NodeProtocol>>, ProtocolError> {
+            let k = participants.len();
+            if k == self.0 {
+                return Err(ProtocolError::InvalidParameter {
+                    what: format!("{k} participants rejected"),
+                });
+            }
+            Ok(participants
+                .iter()
+                .map(|id| {
+                    Box::new(WaitNode {
+                        transmit_round: k + id.index(),
+                    }) as Box<dyn NodeProtocol>
+                })
+                .collect())
+        }
+        fn deterministic(&self) -> bool {
+            true
+        }
+    }
+    impl Protocol for RejectsOneCount {
+        fn name(&self) -> &str {
+            "rejects-one-count"
+        }
+        fn kind(&self) -> ProtocolKind {
+            ProtocolKind::NoCollisionDetection
+        }
+        fn behavior(&self) -> crp_protocols::Behavior<'_> {
+            crp_protocols::Behavior::PerNode(self)
+        }
+    }
+
+    // k is uniform over 2..=16: the rejected count shows up in several
+    // of the 4 shards, after the cell memo already holds other counts.
+    let truth = ScenarioLibrary::new(16)
+        .unwrap()
+        .uniform_sizes()
+        .distribution()
+        .clone();
+    let build = |rejected, kernel| {
+        Simulation::builder()
+            .protocol_object(Box::new(RejectsOneCount(rejected)))
+            .truth(truth.clone())
+            .max_rounds(12)
+            .trials(1_000)
+            .seed(5)
+            .kernel(kernel)
+            .build()
+            .unwrap()
+    };
+    let expected = build(5, KernelChoice::Scalar)
+        .run_on(&SerialBackend)
+        .unwrap_err();
+    assert!(
+        expected.to_string().contains("5 participants rejected"),
+        "{expected}"
+    );
+    for (backend_name, backend) in memo_sharing_backends() {
+        let batched = build(5, KernelChoice::Batched);
+        assert_eq!(batched.kernel_name(), Some("deterministic"));
+        assert_eq!(
+            batched.run_on(backend.as_ref()).unwrap_err(),
+            expected,
+            "{backend_name}: the batched path must fail as the scalar path does"
+        );
+    }
+    // Rejecting a count no trial draws leaves both paths succeeding,
+    // with some trials over the 12-round budget.
+    let reference = build(100, KernelChoice::Scalar)
+        .run_on(&SerialBackend)
+        .unwrap();
+    for (backend_name, backend) in memo_sharing_backends() {
+        assert_eq!(
+            build(100, KernelChoice::Batched)
+                .run_on(backend.as_ref())
+                .unwrap(),
+            reference,
+            "{backend_name}"
+        );
     }
 }
 
