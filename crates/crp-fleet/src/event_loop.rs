@@ -5,10 +5,9 @@
 //! `set_nonblocking`, subprocess stdio pipes via the feeder channel a
 //! [`crate::endpoint`] helper spawns (drained with `try_recv`) — and
 //! one loop round-robins accept / read / schedule / write over all of
-//! them.  Compared to the thread-per-endpoint scheduler this removes a
-//! thread spawn + join and a 100ms-granularity poll loop per worker per
-//! batch, which is what makes fleets of hundreds of tiny-shard workers
-//! practical (see the `fleet_scale` bench).
+//! them.  No thread is spawned or joined per endpoint per batch, which
+//! is what makes fleets of hundreds of tiny-shard workers practical
+//! (see the `fleet_scale` bench).
 //!
 //! The crate forbids `unsafe`, so there is no raw `poll(2)` over fds;
 //! readiness is approximated by draining every source each round and
@@ -17,10 +16,10 @@
 //! sources the loop is effectively always busy and the sleep never
 //! matters; on an idle tail it bounds wakeup latency to ~2ms.
 //!
-//! Scheduling semantics are identical to the threaded dispatcher — same
-//! shared [`State`], same attempt accounting, straggler re-dispatch,
-//! ping health checks, capacity pipelining, blob shipping, and
-//! validation — with two additions:
+//! Each round accepts joining workers, reconnects fixed endpoints,
+//! reads answers, runs the hello and ping deadlines, fills connections
+//! from the queue, re-dispatches stragglers, and flushes outboxes.  Two
+//! scheduling rules are worth naming:
 //!
 //! * **Weights** — a connection may hold up to `hello capacity ×
 //!   endpoint weight` jobs, and fresh jobs go to the least-loaded
@@ -49,7 +48,7 @@ use crate::endpoint::{
 };
 use crate::frame::{MAX_FRAME_BYTES, MAX_HEADER_BYTES};
 use crate::obs::FleetObs;
-use crate::protocol::{Message, PROTOCOL_VERSION};
+use crate::protocol::Message;
 use crate::FleetError;
 
 /// Incremental frame parser for a non-blocking stream: bytes are fed in
@@ -142,9 +141,8 @@ enum Transport {
 }
 
 /// One live connection inside the event loop: transport, incremental
-/// decoder, a write-behind outbox, hello state, and the same
-/// pipelining/ping bookkeeping [`crate::endpoint`]'s blocking
-/// `Connection` keeps.
+/// decoder, a write-behind outbox, hello state, and the
+/// pipelining/ping bookkeeping.
 pub(crate) struct LoopConn {
     transport: Transport,
     /// The spawned subprocess of a local endpoint, if any (killed on
@@ -158,7 +156,6 @@ pub(crate) struct LoopConn {
     /// Hello received and negotiated.
     ready: bool,
     hello_deadline: Instant,
-    version: u32,
     capacity: usize,
     known_blobs: HashSet<String>,
     /// Jobs written to this connection and awaiting answers.
@@ -185,7 +182,6 @@ impl LoopConn {
             eof: false,
             ready: false,
             hello_deadline: Instant::now() + tuning.handshake_timeout,
-            version: PROTOCOL_VERSION,
             capacity: 1,
             known_blobs: HashSet::new(),
             outstanding: Vec::new(),
@@ -199,7 +195,7 @@ impl LoopConn {
     /// Connects a fixed endpoint as a non-blocking source: a local
     /// endpoint is spawned with its stdout routed through the feeder
     /// channel, a TCP endpoint is dialed and switched to non-blocking.
-    fn from_endpoint(
+    pub(crate) fn from_endpoint(
         endpoint: &WorkerEndpoint,
         tuning: &DispatchTuning,
     ) -> Result<Self, FleetError> {
@@ -333,12 +329,9 @@ impl LoopConn {
         Ok(())
     }
 
-    /// Queues one claimed job: on a v2 connection with a compact
-    /// payload, any blobs this connection has not seen are shipped first
-    /// (`scenario-put` is idempotent and unacknowledged) and the compact
-    /// form is sent; otherwise the inline form.  The span rides along on
-    /// v3+ connections only.  Mirrors the threaded dispatcher's
-    /// `send_claim`.
+    /// Queues one claimed job: any blobs it references that this
+    /// connection has not seen are shipped first (`scenario-put` is
+    /// idempotent and unacknowledged), then the job frame with its span.
     fn queue_job(
         &mut self,
         job: usize,
@@ -346,48 +339,29 @@ impl LoopConn {
         blobs: &BlobSet,
     ) -> Result<(), FleetError> {
         let payload = &jobs[job];
-        let span = if self.version >= 3 {
-            payload.span.clone()
-        } else {
-            None
-        };
-        if self.version >= 2 {
-            if let Some(compact) = &payload.compact {
-                for hash in &payload.refs {
-                    if self.known_blobs.contains(hash) {
-                        continue;
-                    }
-                    let blob = blobs.get(hash).ok_or_else(|| {
-                        FleetError::Malformed(format!(
-                            "job {job} references blob {hash} missing from the batch blob set"
-                        ))
-                    })?;
-                    self.queue_frame(
-                        &Message::ScenarioPut {
-                            hash: hash.clone(),
-                            blob: blob.to_string(),
-                        }
-                        .encode(),
-                    )?;
-                    self.known_blobs.insert(hash.clone());
-                }
-                self.queue_frame(
-                    &Message::Job {
-                        id: job as u64,
-                        payload: compact.clone(),
-                        span,
-                    }
-                    .encode(),
-                )?;
-                self.outstanding.push(job);
-                return Ok(());
+        for hash in &payload.refs {
+            if self.known_blobs.contains(hash) {
+                continue;
             }
+            let blob = blobs.get(hash).ok_or_else(|| {
+                FleetError::Malformed(format!(
+                    "job {job} references blob {hash} missing from the batch blob set"
+                ))
+            })?;
+            self.queue_frame(
+                &Message::ScenarioPut {
+                    hash: hash.clone(),
+                    blob: blob.to_string(),
+                }
+                .encode(),
+            )?;
+            self.known_blobs.insert(hash.clone());
         }
         self.queue_frame(
             &Message::Job {
                 id: job as u64,
-                payload: payload.inline.clone(),
-                span,
+                payload: payload.payload.clone(),
+                span: payload.span.clone(),
             }
             .encode(),
         )?;
@@ -402,10 +376,9 @@ impl LoopConn {
 
     /// Pulls the worker's current metrics-snapshot wire body with a
     /// `metrics`/`metrics-report` round trip, polling the non-blocking
-    /// transport until the report (or the ping timeout).  `Ok(None)` on
-    /// pre-v3 or not-yet-ready connections — those workers are reported
-    /// as `metrics: unavailable`.  Called only on warm (idle) connections
-    /// between batches, so the only interleaved frames are stale pongs
+    /// transport until the report (or the ping timeout).  Called only on
+    /// warm connections between batches — those are always past their
+    /// hello and idle — so the only interleaved frames are stale pongs
     /// or query answers.
     ///
     /// # Errors
@@ -413,13 +386,8 @@ impl LoopConn {
     /// [`FleetError::Unresponsive`] when no report arrives in
     /// [`DispatchTuning::ping_timeout`]; any transport error otherwise
     /// (the connection must then be dropped).
-    pub(crate) fn fetch_metrics(
-        &mut self,
-        tuning: &DispatchTuning,
-    ) -> Result<Option<String>, FleetError> {
-        if !self.ready || self.version < 3 {
-            return Ok(None);
-        }
+    pub(crate) fn fetch_metrics(&mut self, tuning: &DispatchTuning) -> Result<String, FleetError> {
+        debug_assert!(self.ready, "only handshaken connections are parked warm");
         let id = self.next_ping;
         self.next_ping += 1;
         self.queue_frame(&Message::Metrics { id }.encode())?;
@@ -429,7 +397,7 @@ impl LoopConn {
             self.drain_transport()?;
             while let Some(message) = self.next_message()? {
                 match message {
-                    Message::MetricsReport { id: got, body } if got == id => return Ok(Some(body)),
+                    Message::MetricsReport { id: got, body } if got == id => return Ok(body),
                     // Stale answers from a previous round trip.
                     Message::Pong { .. }
                     | Message::ScenarioState { .. }
@@ -453,9 +421,9 @@ impl LoopConn {
         }
     }
 
-    /// The ping state machine, identical to the blocking connection's:
-    /// silence past `ping_after` with work in flight sends a ping; a
-    /// ping unanswered for `ping_timeout` is [`FleetError::Unresponsive`].
+    /// The ping state machine: silence past `ping_after` with work in
+    /// flight sends a ping; a ping unanswered for `ping_timeout` is
+    /// [`FleetError::Unresponsive`].
     fn ping_if_silent(&mut self, tuning: &DispatchTuning) -> Result<(), FleetError> {
         if let Some(sent) = self.ping_sent {
             if sent.elapsed() >= tuning.ping_timeout {
@@ -620,10 +588,9 @@ fn pump(
     while let Some(message) = conn.next_message()? {
         progressed = true;
         if !conn.ready {
-            let (version, capacity) = negotiate_hello(message)?;
+            let capacity = negotiate_hello(message)?;
             conn.capacity =
                 accept_hello_capacity(&conn.peer, capacity, tuning.strict_hello_capacity)?;
-            conn.version = version;
             conn.ready = true;
             continue;
         }
@@ -649,8 +616,7 @@ fn pump(
                 if !state.is_settled(job) {
                     state.results[job] = Some(payload);
                     // Completions are delivered from the loop thread, so
-                    // they are serialised exactly like the threaded
-                    // dispatcher's under-lock delivery.
+                    // they are serialised.
                     done(job);
                 }
             }
@@ -685,9 +651,8 @@ fn pump(
     Ok(progressed)
 }
 
-/// Runs one batch on the event loop.  Shares the [`State`] shape (and
-/// therefore the final-assembly and error-reporting code) with the
-/// threaded dispatcher.
+/// Runs one batch on the event loop and returns its settled [`State`]
+/// for [`Dispatcher::dispatch_jobs`] to assemble.
 pub(crate) fn run(
     dispatcher: &Dispatcher,
     jobs: &[JobPayload],
@@ -775,7 +740,7 @@ pub(crate) fn run(
 
         // Reconnect fixed endpoints whose backoff expired.  Connecting
         // *before* claiming means a connect failure never burns a job
-        // attempt, exactly like the threaded release-unattempted path.
+        // attempt.
         let now = Instant::now();
         for slot in &mut slots {
             let Some(index) = slot.endpoint else { continue };

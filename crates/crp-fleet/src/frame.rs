@@ -51,10 +51,7 @@ fn is_timeout(kind: std::io::ErrorKind) -> bool {
 pub(crate) const MAX_HEADER_BYTES: usize = 32;
 
 /// Reads the header line byte-wise off the buffered stream, retrying
-/// read timeouts: once a frame has *started* arriving the read is
-/// committed, and timeouts only carry meaning between frames (see
-/// [`wait_readable`]) — a slow link must never corrupt a half-read
-/// frame.
+/// read timeouts: a slow link must never corrupt a half-read frame.
 fn read_header_line(reader: &mut impl BufRead) -> Result<Option<String>, FleetError> {
     enum Step {
         Eof,
@@ -114,10 +111,9 @@ fn read_header_line(reader: &mut impl BufRead) -> Result<Option<String>, FleetEr
 /// Reads one frame, or `None` on a clean end of stream (no header bytes
 /// at all).
 ///
-/// Read timeouts configured on the underlying stream are retried here —
-/// they signal "no frame has started yet" and belong to
-/// [`wait_readable`], never to a frame already in flight on a slow
-/// link.
+/// Read timeouts configured on the underlying stream are retried here:
+/// a frame in flight on a slow link is read to its end, never abandoned
+/// half-read.
 ///
 /// # Errors
 ///
@@ -152,36 +148,6 @@ pub fn read_frame(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, FleetErr
         }
     }
     Ok(Some(payload))
-}
-
-/// Waits until at least one byte is readable, without consuming it.
-///
-/// Returns `Ok(true)` when data (or end-of-stream) is ready and
-/// `Ok(false)` when a read timeout configured on the underlying stream
-/// expired first.  Because nothing is consumed, a timeout here leaves the
-/// stream in a clean between-frames state — this is what lets a
-/// dispatcher poll a straggling TCP worker and abandon it once the job
-/// has been completed elsewhere.
-///
-/// # Errors
-///
-/// [`FleetError::Io`] for a transport failure.
-pub fn wait_readable(reader: &mut impl BufRead) -> Result<bool, FleetError> {
-    loop {
-        match reader.fill_buf() {
-            // An empty buffer from fill_buf means end-of-stream, which is
-            // "readable": the next read_frame call reports it properly.
-            Ok(_) => return Ok(true),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(false)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -295,9 +261,7 @@ mod tests {
             offset: 0,
             ready: false,
         });
-        // wait_readable reports the timeouts between frames...
-        assert!(!wait_readable(&mut reader).unwrap());
-        // ...but once the frame starts, read_frame must ride them out.
+        // read_frame must ride out the timeouts before every byte.
         assert_eq!(
             read_frame(&mut reader).unwrap().unwrap(),
             b"slow but healthy\nframe body"

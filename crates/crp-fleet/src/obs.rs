@@ -2,11 +2,11 @@
 //! on-demand [`FleetSnapshot`], plus the workspace-global `fleet.*`
 //! counters and trace events.
 //!
-//! Both dispatch modes report through one [`FleetObs`] owned by the
-//! [`crate::Dispatcher`], keyed by the worker's human-readable peer
-//! description, so a snapshot spans fixed endpoints and elastically
-//! joined workers alike and accumulates across batches — the view a
-//! long-running serve daemon's `stats` request renders.
+//! The [`crate::Dispatcher`] reports through one [`FleetObs`] it owns,
+//! keyed by the worker's human-readable peer description, so a
+//! snapshot spans fixed endpoints and elastically joined workers alike
+//! and accumulates across batches — the view a long-running serve
+//! daemon's `stats` request renders.
 //!
 //! Nothing here touches job payloads, RNG streams, or completion
 //! order: counters are plain additions under a short mutex and trace
@@ -90,9 +90,12 @@ pub struct WorkerMetrics {
     /// The worker's peer description (endpoint, or joined address).
     pub endpoint: String,
     /// The worker's decoded metrics snapshot — `None` when the worker
-    /// speaks a pre-v3 protocol, is not connected, or failed to answer
-    /// the pull (rendered as `metrics: unavailable`).
+    /// is not connected or failed to answer the pull.
     pub snapshot: Option<MetricsSnapshot>,
+    /// False for a fixed endpoint whose connection is not open yet
+    /// (rendered as `metrics: not connected yet`); a connected worker
+    /// without a snapshot failed its pull (`metrics: unavailable`).
+    pub connected: bool,
 }
 
 /// A fleet-wide metrics pull: every known worker's shipped snapshot
@@ -124,14 +127,16 @@ impl FleetMetrics {
 
     /// Renders the pull as a deterministic text report: a header line,
     /// the merged rollup (each line prefixed `rollup `), then each
-    /// worker's own snapshot (indented) or `metrics: unavailable`.
+    /// worker's own snapshot (indented), `metrics: unavailable`, or
+    /// `metrics: not connected yet`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let reporting = self.reporting();
+        let unconnected = self.workers.iter().filter(|w| !w.connected).count();
         let _ = writeln!(
             out,
-            "fleet metrics: {reporting} reporting, {} unavailable",
-            self.workers.len() - reporting
+            "fleet metrics: {reporting} reporting, {} unavailable, {unconnected} not connected yet",
+            self.workers.len() - reporting - unconnected
         );
         for line in self.rollup().render().lines() {
             let _ = writeln!(out, "rollup {line}");
@@ -144,8 +149,11 @@ impl FleetMetrics {
                         let _ = writeln!(out, "  {line}");
                     }
                 }
-                None => {
+                None if worker.connected => {
                     let _ = writeln!(out, "worker {} metrics: unavailable", worker.endpoint);
+                }
+                None => {
+                    let _ = writeln!(out, "worker {} metrics: not connected yet", worker.endpoint);
                 }
             }
         }
@@ -154,7 +162,7 @@ impl FleetMetrics {
 }
 
 /// The dispatcher's accumulator behind [`FleetSnapshot`]: a peer-keyed
-/// map both dispatch modes report into.
+/// map the event loop reports into.
 #[derive(Debug, Default)]
 pub(crate) struct FleetObs {
     workers: Mutex<BTreeMap<String, WorkerHealth>>,

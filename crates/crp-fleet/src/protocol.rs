@@ -9,46 +9,39 @@
 //!
 //! ```text
 //! worker     -> dispatcher   hello v3 capacity 4        (handshake)
-//! dispatcher -> worker       scenario-have ab12..       (v2: blob query)
+//! dispatcher -> worker       scenario-have ab12..       (blob query)
 //! worker     -> dispatcher   scenario-state ab12.. no
-//! dispatcher -> worker       scenario-put ab12..\n<blob> (v2: ship once)
-//! dispatcher -> worker       job 17 span cd34..\n<payload> (v3: trace span rides along)
+//! dispatcher -> worker       scenario-put ab12..\n<blob> (ship once)
+//! dispatcher -> worker       job 17 span cd34..\n<payload> (trace span rides along)
 //! dispatcher -> worker       job 18\n<payload>          (pipelined up to the capacity)
 //! worker     -> dispatcher   done 17\n<payload>         (or: failed 17\n<message>)
 //! dispatcher -> worker       ping 99
 //! worker     -> dispatcher   pong 99                    (health check, answered mid-job)
-//! dispatcher -> worker       metrics 7                  (v3: registry pull)
+//! dispatcher -> worker       metrics 7                  (registry pull)
 //! worker     -> dispatcher   metrics-report 7\n<snapshot>
 //! worker     -> dispatcher   done 18\n<payload>
 //! dispatcher -> worker       shutdown                   (or just closes the stream)
 //! ```
 //!
-//! Protocol v2 adds the `scenario-put` / `scenario-have` /
-//! `scenario-state` blob messages (content-addressed payload shipping:
-//! a scenario's masses travel once per worker and later jobs reference
-//! them by hash).  Protocol v3 adds the `metrics` / `metrics-report`
-//! registry pull and the optional `span`/`parent` trace-context tokens
-//! on `job` head lines.  Older workers never receive any of them — the
-//! dispatcher negotiates the version from the hello, falls back to
-//! fully inline unstamped payloads, and reports a pre-v3 worker's
-//! metrics as unavailable — so old workers keep interoperating
-//! unchanged.
+//! The `scenario-*` blob messages ship payloads by content address: a
+//! scenario's masses travel once per worker and later jobs reference
+//! them by hash.  `metrics` / `metrics-report` pull a worker's metrics
+//! registry, and the optional `span`/`parent` tokens on a `job` head
+//! line carry its trace context.
+//!
+//! The dispatcher and its workers are built from the same binary, so
+//! there is one protocol version, [`PROTOCOL_VERSION`].  A hello with
+//! any other version fails the handshake with a typed error.
 
 use crate::hash::is_content_hash;
 use crate::FleetError;
 
 /// Version of the fleet wire protocol; sent in the [`Message::Hello`]
-/// handshake.  The dispatcher accepts every version in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] and restricts the
-/// conversation to what the worker's version understands; anything
-/// outside the range is rejected with a typed error instead of
-/// misparsing frames.
+/// handshake.  The dispatcher accepts exactly this version and rejects
+/// any other with a typed error instead of misparsing frames.
 pub const PROTOCOL_VERSION: u32 = 3;
 
-/// Oldest worker protocol version the dispatcher still speaks.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;
-
-/// The trace context a v3 `job` head line carries: the job's
+/// The trace context a `job` head line carries: the job's
 /// deterministic span id plus its parent span, both derived from
 /// content hashes on the dispatching side (see `crp_obs::span_from_hash`),
 /// never from randomness.  Workers stamp both onto the trace events
@@ -79,8 +72,7 @@ pub enum Message {
         id: u64,
         /// Opaque job description.
         payload: String,
-        /// The job's trace context (v3; absent on unstamped jobs and on
-        /// connections negotiated below v3).
+        /// The job's trace context (absent on unstamped jobs).
         span: Option<JobSpan>,
     },
     /// Worker → dispatcher: the job's successful answer.
@@ -108,7 +100,7 @@ pub enum Message {
         /// Echo of the ping id.
         id: u64,
     },
-    /// Dispatcher → worker (v2): store this content-addressed blob so
+    /// Dispatcher → worker: store this content-addressed blob so
     /// later job payloads can reference it by hash.  Fire-and-forget —
     /// the worker verifies the hash and answers nothing.
     ScenarioPut {
@@ -117,27 +109,27 @@ pub enum Message {
         /// The opaque blob bytes (UTF-8 text in practice).
         blob: String,
     },
-    /// Dispatcher → worker (v2): does the worker already hold this blob?
+    /// Dispatcher → worker: does the worker already hold this blob?
     /// (A TCP worker's store outlives connections, so a reconnecting
     /// dispatcher asks before re-shipping.)
     ScenarioHave {
         /// The queried content hash.
         hash: String,
     },
-    /// Worker → dispatcher (v2): the answer to [`Message::ScenarioHave`].
+    /// Worker → dispatcher: the answer to [`Message::ScenarioHave`].
     ScenarioState {
         /// Echo of the queried hash.
         hash: String,
         /// True when the worker holds the blob.
         present: bool,
     },
-    /// Dispatcher → worker (v3): report the worker's process-wide
+    /// Dispatcher → worker: report the worker's process-wide
     /// metrics registry.
     Metrics {
         /// Echoed in the matching [`Message::MetricsReport`].
         id: u64,
     },
-    /// Worker → dispatcher (v3): the answer to [`Message::Metrics`] — a
+    /// Worker → dispatcher: the answer to [`Message::Metrics`] — a
     /// `MetricsSnapshot` in its canonical wire encoding.
     MetricsReport {
         /// Echo of the request id.

@@ -132,7 +132,10 @@ impl TcpWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::{CallOutcome, WorkerEndpoint};
+    use crate::endpoint::{DispatchTuning, WorkerEndpoint};
+    use crate::Dispatcher;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     fn echo(payload: &str) -> Result<String, String> {
         Ok(format!("echo:{payload}"))
@@ -140,48 +143,51 @@ mod tests {
 
     /// Binds a loopback worker on an ephemeral port and serves it from a
     /// detached thread for the rest of the test process's life.
-    pub(crate) fn spawn_echo_worker() -> SocketAddr {
+    fn spawn_worker(handler: JobHandler<'static>) -> SocketAddr {
         let worker = TcpWorker::bind("127.0.0.1:0").unwrap();
         let addr = worker.local_addr().unwrap();
-        std::thread::spawn(move || worker.serve_forever(&echo, &ServeOptions::default()));
+        std::thread::spawn(move || worker.serve_forever(handler, &ServeOptions::default()));
         addr
     }
 
     #[test]
     fn tcp_round_trip_through_a_real_socket() {
-        let addr = spawn_echo_worker();
-        let endpoint = WorkerEndpoint::tcp(addr.to_string());
-        let mut connection = endpoint.connect().unwrap();
-        for id in 0..3u64 {
-            match connection
-                .call(id, &format!("job-{id}"), &|| false)
-                .unwrap()
-            {
-                CallOutcome::Done(payload) => assert_eq!(payload, format!("echo:job-{id}")),
-                _ => panic!("echo worker must answer done"),
-            }
-        }
+        let addr = spawn_worker(&echo);
+        let dispatcher = Dispatcher::new(vec![WorkerEndpoint::tcp(addr.to_string())]);
+        let payloads: Vec<String> = (0..3).map(|id| format!("job-{id}")).collect();
+        let answers = dispatcher.dispatch(&payloads, &|_| {}).unwrap();
+        let expected: Vec<String> = (0..3).map(|id| format!("echo:job-{id}")).collect();
+        assert_eq!(answers, expected);
     }
 
     #[test]
     fn two_connections_are_served_concurrently() {
-        let addr = spawn_echo_worker();
-        let endpoint = WorkerEndpoint::tcp(addr.to_string());
-        let mut a = endpoint.connect().unwrap();
-        let mut b = endpoint.connect().unwrap();
-        // Interleave calls across both live connections.
-        assert!(matches!(
-            a.call(1, "x", &|| false).unwrap(),
-            CallOutcome::Done(_)
-        ));
-        assert!(matches!(
-            b.call(2, "y", &|| false).unwrap(),
-            CallOutcome::Done(_)
-        ));
-        assert!(matches!(
-            a.call(3, "z", &|| false).unwrap(),
-            CallOutcome::Done(_)
-        ));
+        // Each job waits until both jobs are executing.  Two endpoints
+        // at the same address hold one job each, so the batch only
+        // answers if the worker serves both connections at once.
+        fn rendezvous(payload: &str) -> Result<String, String> {
+            static ARRIVED: (Mutex<usize>, Condvar) = (Mutex::new(0), Condvar::new());
+            let (count, all_here) = &ARRIVED;
+            let mut count = count.lock().unwrap();
+            *count += 1;
+            all_here.notify_all();
+            let (count, _) = all_here
+                .wait_timeout_while(count, Duration::from_secs(10), |count| *count < 2)
+                .unwrap();
+            if *count < 2 {
+                return Err("the worker served the connections one at a time".to_string());
+            }
+            Ok(format!("echo:{payload}"))
+        }
+        let addr = spawn_worker(&rendezvous).to_string();
+        let dispatcher = Dispatcher::new(vec![
+            WorkerEndpoint::tcp(addr.clone()),
+            WorkerEndpoint::tcp(addr),
+        ]);
+        let answers = dispatcher
+            .dispatch(&["x".to_string(), "y".to_string()], &|_| {})
+            .unwrap();
+        assert_eq!(answers, vec!["echo:x".to_string(), "echo:y".to_string()]);
     }
 
     #[test]
@@ -194,7 +200,7 @@ mod tests {
             .port();
         let endpoint = WorkerEndpoint::tcp(format!("127.0.0.1:{port}"));
         assert!(matches!(
-            endpoint.connect(),
+            crate::event_loop::LoopConn::from_endpoint(&endpoint, &DispatchTuning::default()),
             Err(FleetError::Connect { .. })
         ));
     }

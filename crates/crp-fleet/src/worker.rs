@@ -9,7 +9,7 @@
 //! [`crate::TcpWorker`] binds it to an accepted socket (the remote
 //! transport).
 //!
-//! Two protocol-v2 behaviours live here:
+//! Two protocol behaviours live here:
 //!
 //! * **Concurrent answering** — the read loop never blocks on a job:
 //!   each job executes on its own scoped thread and its answer is
@@ -89,8 +89,8 @@ impl ScenarioStore {
     }
 }
 
-/// Options of one serve loop: the advertised capacity, the protocol
-/// version to speak, and the fault-injection knobs the dispatcher's
+/// Options of one serve loop: the advertised capacity and the
+/// fault-injection knobs the dispatcher's
 /// failure tests (and CI smoke jobs) drive via the environment.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
@@ -115,11 +115,6 @@ pub struct ServeOptions {
     /// (advertised in the hello, clamped to at least 1).  From
     /// `CRP_FLEET_CAPACITY`.
     pub capacity: usize,
-    /// Speak protocol v1: advertise `hello v1` and reject the v2
-    /// scenario messages, exactly like a worker binary from before the
-    /// blob protocol existed.  From `CRP_FLEET_SPEAK_V1` — this is how
-    /// the version-negotiation tests put a genuine v1 peer in a pool.
-    pub legacy_v1: bool,
 }
 
 impl Default for ServeOptions {
@@ -130,7 +125,6 @@ impl Default for ServeOptions {
             mangle_after: None,
             wedge_after: None,
             capacity: 1,
-            legacy_v1: false,
         }
     }
 }
@@ -138,9 +132,8 @@ impl Default for ServeOptions {
 impl ServeOptions {
     /// Reads the knobs from `CRP_FLEET_DIE_AFTER`,
     /// `CRP_FLEET_GARBAGE_AFTER`, `CRP_FLEET_MANGLE_AFTER`,
-    /// `CRP_FLEET_WEDGE_AFTER`, `CRP_FLEET_CAPACITY` and
-    /// `CRP_FLEET_SPEAK_V1` (unset or unparsable values keep the
-    /// defaults).
+    /// `CRP_FLEET_WEDGE_AFTER` and `CRP_FLEET_CAPACITY` (unset or
+    /// unparsable values keep the defaults).
     ///
     /// This is the lenient compatibility path; new callers should prefer
     /// [`ServeOptions::try_from_env`], which surfaces unusable values as
@@ -153,10 +146,6 @@ impl ServeOptions {
             mangle_after: knob("CRP_FLEET_MANGLE_AFTER"),
             wedge_after: knob("CRP_FLEET_WEDGE_AFTER"),
             capacity: knob("CRP_FLEET_CAPACITY").unwrap_or(1usize).max(1),
-            legacy_v1: matches!(
-                std::env::var("CRP_FLEET_SPEAK_V1").as_deref(),
-                Ok("1") | Ok("true") | Ok("yes")
-            ),
         }
     }
 
@@ -168,8 +157,7 @@ impl ServeOptions {
     /// # Errors
     ///
     /// [`FleetError::Env`] when a fault knob or `CRP_FLEET_CAPACITY` is
-    /// not a non-negative integer, `CRP_FLEET_CAPACITY` is zero, or
-    /// `CRP_FLEET_SPEAK_V1` is not one of `1/true/yes/0/false/no`.
+    /// not a non-negative integer, or `CRP_FLEET_CAPACITY` is zero.
     pub fn try_from_env() -> Result<Self, FleetError> {
         fn knob(name: &'static str) -> Result<Option<usize>, FleetError> {
             match std::env::var(name) {
@@ -195,37 +183,13 @@ impl ServeOptions {
             }
             Some(capacity) => capacity,
         };
-        let legacy_v1 = match std::env::var("CRP_FLEET_SPEAK_V1") {
-            Err(_) => false,
-            Ok(value) => match value.trim() {
-                "1" | "true" | "yes" => true,
-                "0" | "false" | "no" | "" => false,
-                _ => {
-                    return Err(FleetError::Env {
-                        var: "CRP_FLEET_SPEAK_V1".to_string(),
-                        value,
-                        reason: "expected one of 1/true/yes/0/false/no".to_string(),
-                    })
-                }
-            },
-        };
         Ok(Self {
             die_after: knob("CRP_FLEET_DIE_AFTER")?,
             garbage_after: knob("CRP_FLEET_GARBAGE_AFTER")?,
             mangle_after: knob("CRP_FLEET_MANGLE_AFTER")?,
             wedge_after: knob("CRP_FLEET_WEDGE_AFTER")?,
             capacity,
-            legacy_v1,
         })
-    }
-
-    /// The protocol version this serve loop speaks.
-    fn version(&self) -> u32 {
-        if self.legacy_v1 {
-            1
-        } else {
-            PROTOCOL_VERSION
-        }
     }
 }
 
@@ -253,7 +217,7 @@ pub fn serve_with_store(
     write_frame(
         writer,
         &Message::Hello {
-            version: options.version(),
+            version: PROTOCOL_VERSION,
             capacity: options.capacity.max(1),
         }
         .encode(),
@@ -338,7 +302,7 @@ pub fn serve_with_store(
                     });
                 }
                 Message::Ping { id } => send(&writer, &Message::Pong { id })?,
-                Message::ScenarioPut { hash, blob } if !options.legacy_v1 => {
+                Message::ScenarioPut { hash, blob } => {
                     let actual = content_hash(blob.as_bytes());
                     if actual != hash {
                         return Err(FleetError::Malformed(format!(
@@ -347,11 +311,11 @@ pub fn serve_with_store(
                     }
                     store.insert(hash, blob);
                 }
-                Message::ScenarioHave { hash } if !options.legacy_v1 => {
+                Message::ScenarioHave { hash } => {
                     let present = store.contains(&hash);
                     send(&writer, &Message::ScenarioState { hash, present })?;
                 }
-                Message::Metrics { id } if !options.legacy_v1 => {
+                Message::Metrics { id } => {
                     // Ship the whole process-wide registry: the worker's
                     // job/ shard counters live there, and snapshots merge
                     // order-independently on the dispatcher side.
@@ -426,33 +390,30 @@ mod tests {
 
     /// Runs a scripted conversation against the serve loop and returns
     /// the worker's decoded answers (skipping the hello).
-    fn converse_with(
-        messages: &[Message],
-        options: &ServeOptions,
-    ) -> (Result<usize, FleetError>, Vec<Message>) {
+    fn converse(messages: &[Message]) -> (Result<usize, FleetError>, Vec<Message>) {
         let mut request_bytes = Vec::new();
         for message in messages {
             write_frame(&mut request_bytes, &message.encode()).unwrap();
         }
         let mut reader = BufReader::new(request_bytes.as_slice());
         let mut response_bytes = Vec::new();
-        let served = serve(&mut reader, &mut response_bytes, &echo, options);
+        let served = serve(
+            &mut reader,
+            &mut response_bytes,
+            &echo,
+            &ServeOptions::default(),
+        );
         let mut responses = Vec::new();
         let mut response_reader = BufReader::new(response_bytes.as_slice());
         while let Some(frame) = read_frame(&mut response_reader).unwrap() {
             responses.push(Message::decode(&frame).unwrap());
         }
         let hello = responses.remove(0);
-        let expected_version = options.version();
         assert!(
-            matches!(hello, Message::Hello { version, .. } if version == expected_version),
+            matches!(hello, Message::Hello { version, .. } if version == PROTOCOL_VERSION),
             "unexpected hello {hello:?}"
         );
         (served, responses)
-    }
-
-    fn converse(messages: &[Message]) -> (Result<usize, FleetError>, Vec<Message>) {
-        converse_with(messages, &ServeOptions::default())
     }
 
     #[test]
@@ -555,47 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn a_legacy_v1_worker_rejects_scenario_messages() {
-        let options = ServeOptions {
-            legacy_v1: true,
-            ..Default::default()
-        };
-        let blob = "blob".to_string();
-        let (served, _) = converse_with(
-            &[Message::ScenarioPut {
-                hash: content_hash(blob.as_bytes()),
-                blob,
-            }],
-            &options,
-        );
-        assert!(
-            matches!(served, Err(FleetError::Malformed(_))),
-            "a v1 worker does not understand scenario-put"
-        );
-        // But plain jobs still work, under a v1 hello.
-        let (served, responses) = converse_with(
-            &[
-                Message::Job {
-                    id: 3,
-                    payload: "old".into(),
-                    span: None,
-                },
-                Message::Shutdown,
-            ],
-            &options,
-        );
-        assert_eq!(served.unwrap(), 1);
-        assert_eq!(
-            responses,
-            vec![Message::Done {
-                id: 3,
-                payload: "echo:old".into(),
-            }]
-        );
-    }
-
-    #[test]
-    fn workers_answer_metrics_pulls_and_v1_workers_reject_them() {
+    fn workers_answer_metrics_pulls() {
         let (served, responses) = converse(&[Message::Metrics { id: 9 }, Message::Shutdown]);
         assert_eq!(served.unwrap(), 0, "a metrics pull is not a job");
         match &responses[..] {
@@ -607,13 +528,6 @@ mod tests {
             }
             other => panic!("expected one metrics-report, got {other:?}"),
         }
-        // A v1 worker predates the message entirely.
-        let options = ServeOptions {
-            legacy_v1: true,
-            ..Default::default()
-        };
-        let (served, _) = converse_with(&[Message::Metrics { id: 9 }], &options);
-        assert!(matches!(served, Err(FleetError::Malformed(_))));
     }
 
     #[test]
@@ -719,12 +633,10 @@ mod tests {
         std::env::set_var("CRP_FLEET_DIE_AFTER", "2");
         std::env::set_var("CRP_FLEET_GARBAGE_AFTER", "nope");
         std::env::set_var("CRP_FLEET_CAPACITY", "4");
-        std::env::set_var("CRP_FLEET_SPEAK_V1", "1");
         let options = ServeOptions::from_env();
         assert_eq!(options.die_after, Some(2));
         assert_eq!(options.garbage_after, None);
         assert_eq!(options.capacity, 4);
-        assert!(options.legacy_v1);
         // Strict parsing surfaces the value from_env silently dropped.
         match ServeOptions::try_from_env() {
             Err(FleetError::Env { var, value, .. }) => {
@@ -738,24 +650,15 @@ mod tests {
         assert_eq!(options.die_after, Some(2));
         assert_eq!(options.garbage_after, None);
         assert_eq!(options.capacity, 4);
-        assert!(options.legacy_v1);
         std::env::set_var("CRP_FLEET_CAPACITY", "0");
-        assert!(matches!(
-            ServeOptions::try_from_env(),
-            Err(FleetError::Env { .. })
-        ));
-        std::env::set_var("CRP_FLEET_CAPACITY", "4");
-        std::env::set_var("CRP_FLEET_SPEAK_V1", "maybe");
         assert!(matches!(
             ServeOptions::try_from_env(),
             Err(FleetError::Env { .. })
         ));
         std::env::remove_var("CRP_FLEET_DIE_AFTER");
         std::env::remove_var("CRP_FLEET_CAPACITY");
-        std::env::remove_var("CRP_FLEET_SPEAK_V1");
         let options = ServeOptions::from_env();
         assert_eq!(options.capacity, 1, "capacity defaults to 1");
-        assert!(!options.legacy_v1);
         assert_eq!(ServeOptions::try_from_env().unwrap().capacity, 1);
     }
 }

@@ -9,8 +9,8 @@
 //! 2. **Job hits** — remaining cells probe per-job; cached answers are
 //!    bit-exact worker blobs.
 //! 3. **Dispatch** — only the missing jobs go to the warm fleet (with
-//!    scenario-by-hash shipping on v2 workers); fresh answers and fresh
-//!    cell merges are written back to the cache.
+//!    scenario-by-hash shipping); fresh answers and fresh cell merges
+//!    are written back to the cache.
 //!
 //! A corrupt or truncated cache entry is *never* served: the
 //! [`ResultCache`] detects it, the server recomputes, and the overwrite
@@ -379,12 +379,12 @@ impl SweepServer {
         }
         progress(hits, total, hits);
 
-        // Phase 3: dispatch only the misses to the warm fleet.  Each
-        // pending job needs its canonical inline payload — shipped by
-        // the client, or reconstructed here from the compact form and
-        // the blob table — and the reconstruction is hash-verified, so
-        // a compact job whose claimed key does not match its content
-        // can never reach a worker or the cache.
+        // Phase 3: dispatch only the misses to the warm fleet.  A job
+        // with a compact form ships it — after canonicalising it against
+        // the blob table and hash-verifying the result, even when an
+        // inline form (already verified with the submission) came too —
+        // so a job whose shipped bytes do not match its claimed key can
+        // never reach a worker or the cache.  Other jobs ship inline.
         let computed = pending.len();
         if !pending.is_empty() {
             let resolve = |hash: &str| blob_set.get(hash).map(str::to_string);
@@ -392,9 +392,8 @@ impl SweepServer {
                 .iter()
                 .map(|&(cell, job)| {
                     let job = &submission.cells[cell].jobs[job];
-                    let inline = match (&job.inline, &job.compact) {
-                        (Some(inline), _) => inline.clone(),
-                        (None, Some(compact)) => {
+                    let payload = match (&job.compact, &job.inline) {
+                        (Some(compact), _) => {
                             let inline = (hooks.canonicalize)(compact, &resolve).map_err(|e| {
                                 ServeError::Malformed(format!(
                                     "cannot canonicalise compact job {}: {e}",
@@ -409,8 +408,9 @@ impl SweepServer {
                                     actual,
                                 });
                             }
-                            inline
+                            JobPayload::compact(compact.clone(), job.refs.clone())
                         }
+                        (None, Some(inline)) => JobPayload::inline(inline.clone()),
                         // The wire decoder rejects payload-less jobs,
                         // but run_submission also accepts hand-built
                         // submissions — keep it a typed error.
@@ -426,17 +426,10 @@ impl SweepServer {
                     // computed), parented on its cell — unconditionally,
                     // because stamping costs two string slices and never
                     // influences execution.
-                    let span = crp_fleet::JobSpan {
+                    Ok(payload.with_span(crp_fleet::JobSpan {
                         id: crp_obs::span_from_hash(&job.hash),
                         parent: Some(crp_obs::span_from_hash(&submission.cells[cell].hash)),
-                    };
-                    Ok(match &job.compact {
-                        Some(compact) => {
-                            JobPayload::with_compact(inline, compact.clone(), job.refs.clone())
-                        }
-                        None => JobPayload::inline(inline),
-                    }
-                    .with_span(span))
+                    }))
                 })
                 .collect::<Result<Vec<JobPayload>, ServeError>>()?;
             let settled = Mutex::new(hits);
@@ -648,6 +641,46 @@ mod tests {
         assert_eq!(third.job_hits, 2);
         assert_eq!(third.computed, 1);
         assert_eq!(executions.load(Ordering::SeqCst), 4);
+    }
+
+    #[test]
+    fn a_compact_form_that_disagrees_with_its_inline_is_a_hash_mismatch() {
+        // A valid inline payload paired with a compact payload that
+        // canonicalises to different content: the compact form is what
+        // would ship, so it must be verified against the job's hash
+        // too, and nothing may be dispatched or cached.
+        fn strip_prefix(
+            compact: &str,
+            _resolve: &dyn Fn(&str) -> Option<String>,
+        ) -> Result<String, String> {
+            Ok(compact.trim_start_matches("compact:").to_string())
+        }
+        let (addr, executions) = spawn_counting_worker();
+        let cache = scratch_cache("compact-mismatch");
+        let server = SweepServer::bind(
+            "127.0.0.1:0",
+            vec![crp_fleet::WorkerEndpoint::tcp(addr)],
+            Some(cache.clone()),
+        )
+        .unwrap();
+        let mut poisoned = job("cell-a shard 0");
+        poisoned.compact = Some("compact:something else".to_string());
+        let submission = Submission {
+            blobs: Vec::new(),
+            cells: vec![cell(vec![poisoned])],
+        };
+        let hooks = SubmissionHooks {
+            canonicalize: &strip_prefix,
+            ..hooks()
+        };
+        let err = server
+            .run_submission(&submission, hooks, &|_, _, _| {})
+            .unwrap_err();
+        assert!(matches!(err, ServeError::HashMismatch { .. }), "got {err}");
+        assert_eq!(executions.load(Ordering::SeqCst), 0, "nothing dispatched");
+        for key in [&submission.cells[0].jobs[0].hash, &submission.cells[0].hash] {
+            assert!(cache.get(key).unwrap().is_none(), "nothing cached");
+        }
     }
 
     #[test]

@@ -105,9 +105,9 @@ use crp_sim::experiments::{
 };
 use crp_sim::service::{submit_matrix_as, sweep_hooks};
 use crp_sim::{
-    env_fleet_dispatch, env_fleet_manifest, env_kernel_choice, env_worker_threads,
-    run_shard_worker, run_shard_worker_with, BackendChoice, KernelChoice, RunnerConfig, SimError,
-    SweepMatrix, SweepProtocol, Table,
+    env_fleet_manifest, env_kernel_choice, env_worker_threads, run_shard_worker,
+    run_shard_worker_with, BackendChoice, KernelChoice, RunnerConfig, SimError, SweepMatrix,
+    SweepProtocol, Table,
 };
 
 /// Parsed command-line options.
@@ -655,11 +655,6 @@ fn stats_mode(options: &Options) -> Result<(), SimError> {
 /// [`SimError::Config`] error — a mistyped override should fail loudly,
 /// not silently run on hardware parallelism.
 fn cli_config(options: &Options) -> Result<RunnerConfig, SimError> {
-    // Strictly validate the CRP_FLEET_DISPATCH override up front: the
-    // dispatcher itself reads it leniently (library default, warn once),
-    // but a mistyped value on the CLI fails loudly like CRP_KERNEL and
-    // CRP_FLEET_POLL_MS do.
-    env_fleet_dispatch()?;
     let mut config = RunnerConfig::with_trials(options.trials)
         .seeded(options.seed)
         .with_backend(options.backend);

@@ -70,11 +70,11 @@ use crp_channel::ChannelMode;
 
 pub use report::{fmt_f64, Table};
 pub use runner::{
-    env_fleet_dispatch, env_fleet_manifest, env_kernel_choice, env_worker_threads,
-    measure_cd_strategy, measure_schedule, run_batch, run_batch_with_progress, run_shard_worker,
-    run_shard_worker_with, run_trials, sample_contending_size, BackendChoice, BatchProgress,
-    FleetBackend, JobDoneFn, KernelChoice, ProcessBackend, ProgressFn, RunnerConfig, SerialBackend,
-    ShardBackend, ShardJob, ShardPlan, ShardSpec, ThreadBackend, TrialFn, TrialOutcome,
+    env_fleet_manifest, env_kernel_choice, env_worker_threads, measure_cd_strategy,
+    measure_schedule, run_batch, run_batch_with_progress, run_shard_worker, run_shard_worker_with,
+    run_trials, sample_contending_size, BackendChoice, BatchProgress, FleetBackend, JobDoneFn,
+    KernelChoice, ProcessBackend, ProgressFn, RunnerConfig, SerialBackend, ShardBackend, ShardJob,
+    ShardPlan, ShardSpec, ThreadBackend, TrialFn, TrialOutcome,
 };
 pub use simulation::{Simulation, SimulationBuilder};
 pub use stats::{QuantileSketch, StreamAccumulator, SummaryStats, TrialAccumulator, TrialStats};

@@ -17,8 +17,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 
 use crp_fleet::{
-    BlobSet, DispatchMode, DispatchTuning, Dispatcher, FleetError, FleetManifest, JobPayload,
-    WorkerEndpoint,
+    BlobSet, DispatchTuning, Dispatcher, FleetError, FleetManifest, JobPayload, WorkerEndpoint,
 };
 
 use crate::runner::backend::{JobDoneFn, ShardBackend, ShardJob};
@@ -51,27 +50,6 @@ pub fn env_fleet_manifest() -> Result<Option<FleetManifest>, SimError> {
             what: err.to_string(),
         }),
     }
-}
-
-/// Strictly parses the `CRP_FLEET_DISPATCH` dispatch-mode override:
-/// `Ok(None)` when unset, the parsed [`DispatchMode`] when valid, and a
-/// typed [`SimError::Config`] listing the valid names otherwise — the
-/// CLI convention `CRP_KERNEL` and `CRP_FLEET_POLL_MS` follow.  The
-/// lenient library default ([`DispatchMode::from_env`] inside the
-/// dispatcher) warns once and falls back instead.
-///
-/// # Errors
-///
-/// [`SimError::Config`] for a value [`DispatchMode`] cannot parse.
-pub fn env_fleet_dispatch() -> Result<Option<DispatchMode>, SimError> {
-    DispatchMode::try_from_env().map_err(|err| match err {
-        FleetError::Env { var, value, reason } => SimError::Config {
-            var,
-            value,
-            what: reason,
-        },
-        other => fleet_error(other),
-    })
 }
 
 /// Executes shard jobs on a pool of persistent fleet workers.
@@ -210,14 +188,6 @@ impl FleetBackend {
         }
     }
 
-    /// Returns a copy pinned to a dispatch mode (tests compare the
-    /// event-loop and legacy threaded schedulers through this).
-    pub fn with_dispatch_mode(self, mode: DispatchMode) -> Self {
-        Self {
-            dispatcher: self.dispatcher.with_mode(mode),
-        }
-    }
-
     /// Opens the elastic-membership registration listener: workers that
     /// run `crp_experiments worker --join <addr>` are folded into
     /// subsequent (or running) batches.  Returns the bound address.
@@ -258,13 +228,12 @@ impl ShardBackend for FleetBackend {
         jobs: &[ShardJob<'_>],
         done: JobDoneFn<'_>,
     ) -> Result<Vec<TrialAccumulator>, SimError> {
-        // Each job ships as an inline payload plus (when the spec has
-        // masses) a compact payload referencing the scenario blobs by
-        // hash — the dispatcher ships each blob once per v2 worker and
-        // falls back to inline for v1 workers.
+        // A spec with masses ships as a compact payload referencing the
+        // scenario blobs by hash (the dispatcher ships each blob once
+        // per connection); any other spec ships inline.
         let mut blobs = BlobSet::new();
         // When tracing, every job also carries a deterministic span —
-        // derived from the content hash of its inline payload, never
+        // derived from the content hash of the shipped payload, never
         // randomness — so the dispatcher's `fleet.dispatch` and the
         // worker's `shard.execute` events correlate across processes.
         // Spans ride outside the payload and never reach the handler's
@@ -281,20 +250,23 @@ impl ShardBackend for FleetBackend {
                         job.cell
                     ),
                 })?;
-                let inline = spec.to_wire(job.plan, job.base_seed, job.shard);
-                let span = stamp_spans.then(|| crp_fleet::JobSpan {
-                    id: crp_obs::span_from_hash(&crp_fleet::content_hash(inline.as_bytes())),
-                    parent: None,
-                });
                 let payload =
                     match spec.to_wire_compact(job.plan, job.base_seed, job.shard, &mut blobs) {
-                        Some((compact, refs)) => JobPayload::with_compact(inline, compact, refs),
-                        None => JobPayload::inline(inline),
+                        Some((compact, refs)) => JobPayload::compact(compact, refs),
+                        None => {
+                            JobPayload::inline(spec.to_wire(job.plan, job.base_seed, job.shard))
+                        }
                     };
-                Ok(match span {
-                    Some(span) => payload.with_span(span),
-                    None => payload,
-                })
+                if !stamp_spans {
+                    return Ok(payload);
+                }
+                let span = crp_fleet::JobSpan {
+                    id: crp_obs::span_from_hash(&crp_fleet::content_hash(
+                        payload.payload.as_bytes(),
+                    )),
+                    parent: None,
+                };
+                Ok(payload.with_span(span))
             })
             .collect::<Result<Vec<JobPayload>, SimError>>()?;
         // Validate inside the dispatcher, before a job settles: a

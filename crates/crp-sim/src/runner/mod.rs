@@ -53,7 +53,7 @@ use crate::stats::TrialStats;
 use crate::SimError;
 
 pub use backend::{JobDoneFn, SerialBackend, ShardBackend, ShardJob, TrialFn};
-pub use fleet::{env_fleet_dispatch, env_fleet_manifest, FleetBackend};
+pub use fleet::{env_fleet_manifest, FleetBackend};
 pub use kernel::{env_kernel_choice, KernelChoice};
 pub use plan::{
     env_worker_threads, BackendChoice, BatchProgress, ProgressFn, RunnerConfig, ShardPlan,

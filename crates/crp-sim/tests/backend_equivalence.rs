@@ -12,7 +12,7 @@
 //! the process backend, framed over long-lived worker stdio for the
 //! fleet.
 
-use crp_fleet::{DispatchMode, WorkerEndpoint};
+use crp_fleet::WorkerEndpoint;
 use crp_predict::ScenarioLibrary;
 use crp_protocols::ProtocolSpec;
 use crp_sim::{
@@ -57,22 +57,6 @@ fn fleet_with_capacity_4_worker() -> FleetBackend {
     )])
 }
 
-/// A mixed-version pool: one worker forced to speak protocol v1 (no
-/// scenario messages, fully inline payloads) next to a current v2
-/// worker.  Version negotiation must keep both productive and the
-/// statistics identical.
-fn fleet_with_v1_worker() -> FleetBackend {
-    let args = vec!["worker".to_string(), "--stdio".to_string()];
-    FleetBackend::with_endpoints(vec![
-        WorkerEndpoint::local_with_env(
-            WORKER_BIN,
-            args.clone(),
-            vec![("CRP_FLEET_SPEAK_V1".to_string(), "1".to_string())],
-        ),
-        WorkerEndpoint::local(WORKER_BIN, args),
-    ])
-}
-
 /// A pool whose second worker joins *elastically*: the backend starts
 /// with one fixed local worker plus a registration listener, and a
 /// `worker --join` subprocess dials in while (or just before) the batch
@@ -107,13 +91,6 @@ fn all_backends() -> Vec<(&'static str, Box<dyn ShardBackend>)> {
             Box::new(FleetBackend::local_with_command(2, WORKER_BIN)),
         ),
         (
-            "fleet-2-threaded",
-            Box::new(
-                FleetBackend::local_with_command(2, WORKER_BIN)
-                    .with_dispatch_mode(DispatchMode::Threaded),
-            ),
-        ),
-        (
             "fleet-weighted",
             Box::new(FleetBackend::with_weighted_endpoints(vec![
                 (
@@ -135,7 +112,6 @@ fn all_backends() -> Vec<(&'static str, Box<dyn ShardBackend>)> {
         ("fleet-elastic-join", Box::new(fleet_with_elastic_joiner())),
         ("fleet-dying-worker", Box::new(fleet_with_dying_worker())),
         ("fleet-capacity-4", Box::new(fleet_with_capacity_4_worker())),
-        ("fleet-v1-worker", Box::new(fleet_with_v1_worker())),
     ]
 }
 
